@@ -46,8 +46,6 @@ TURBO_BENCH_PATH = _BENCH_DIR / "BENCH_turbo.json"
 MACRO_BENCH_PATH = _BENCH_DIR / "BENCH_macro.json"
 FRAGSTORE_BENCH_PATH = _BENCH_DIR / "BENCH_fragstore.json"
 CODEGEN_BENCH_PATH = _BENCH_DIR / "BENCH_codegen.json"
-SHARD_BENCH_PATH = _BENCH_DIR / "BENCH_shard.json"
-SERVE_BENCH_PATH = _BENCH_DIR / "BENCH_serve.json"
 
 
 def _bench_jobs():
@@ -127,15 +125,3 @@ def fragstore_bench_records():
 def codegen_bench_records():
     """Codegen-layer speedup records, dumped as BENCH_codegen.json."""
     yield from _records_fixture(CODEGEN_BENCH_PATH)
-
-
-@pytest.fixture(scope="session")
-def shard_bench_records():
-    """Sharded/incremental sweep records, dumped as BENCH_shard.json."""
-    yield from _records_fixture(SHARD_BENCH_PATH)
-
-
-@pytest.fixture(scope="session")
-def serve_bench_records():
-    """Sim-server loadtest records, dumped as BENCH_serve.json."""
-    yield from _records_fixture(SERVE_BENCH_PATH)

@@ -8,26 +8,9 @@ Subcommands:
 * ``list``      — list the benchmark suite.
 * ``run NAME``  — run one benchmark across the width sweep and print its
   Figure 6 row plus translation outcomes.
-* ``cache``     — inspect (``cache info``), empty (``cache clear``), or
-  share over HTTP (``cache serve``) the persistent run cache *and*
-  fragment store (docs/evaluation-runner.md, docs/retranslation.md).
-  ``info``/``clear`` take ``--cache-url`` to address a running
-  ``cache serve`` daemon instead of a local directory.
-* ``sweep``     — run (one shard of) the paper-figure sweep through the
-  run cache and write a JSON manifest; ``--shard K/N`` executes a
-  disjoint hash-slice against a shared backend, ``--incremental``
-  simulates only cache misses, and ``--merge`` verifies and combines
-  shard manifests (docs/evaluation-runner.md).
-* ``serve``     — run the simulation farm: an async HTTP service where
-  clients POST (benchmark, program_kind, width, engine) jobs to
-  ``/v1/runs``; warm requests answer from the run cache in O(1),
-  identical in-flight requests coalesce onto one machine-run, and
-  distinct cold runs fan out over a bounded worker pool
-  (docs/serving.md).
-* ``loadtest``  — hammer a ``repro serve`` farm (or a private one) with
-  a mixed warm/cold/duplicate-storm workload and write the p50/p99
-  latency + throughput + dedup-ratio payload ``repro bench compare``
-  gates (docs/serving.md).
+* ``cache``     — inspect (``cache info``) or empty (``cache clear``)
+  the persistent run cache *and* fragment store
+  (docs/evaluation-runner.md, docs/retranslation.md).
 * ``retranslate`` — re-lower one benchmark's translated fragments to
   another SIMD width and print the cross-width differential verdict
   (docs/retranslation.md).
@@ -91,219 +74,24 @@ def _cmd_cache(args) -> int:
     from repro.core.translate.fragstore import FragmentStore
     from repro.evaluation.runcache import RunCache
 
-    if args.action == "serve":
-        from repro.evaluation.cacheserver import CacheServer
-        from repro.evaluation.runcache import default_cache_dir
-        root = args.cache_dir or default_cache_dir()
-        server = CacheServer(root, host=args.host, port=args.port)
-        print(f"serving run cache at {server.url} from {root} "
-              f"(Ctrl-C to stop)")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            server.shutdown()
-        return 0
-
-    cache = RunCache.default(args.cache_dir, cache_url=args.cache_url)
-    backend = cache.describe()
-    remote = backend["backend"] != "local"
-    # The fragment store is directory-backed only; with a --cache-url
-    # there is no local directory to pair it with.
-    fragments = None if remote else FragmentStore.default(args.cache_dir)
+    cache = RunCache.default(args.cache_dir)
+    fragments = FragmentStore.default(args.cache_dir)
 
     if args.action == "clear":
         removed = cache.clear()
-        frag_note = ""
-        if fragments is not None:
-            frag_removed = fragments.clear()
-            frag_note = (f" and {frag_removed} "
-                         f"fragment{'s' if frag_removed != 1 else ''}")
+        frag_removed = fragments.clear()
         print(f"cleared {removed} cached run{'s' if removed != 1 else ''}"
-              f"{frag_note} from {backend['location']}")
+              f" and {frag_removed} "
+              f"fragment{'s' if frag_removed != 1 else ''} from {cache.root}")
         return 0
 
-    kind = ("http (repro cache serve)" if remote else "local directory")
-    print(f"run cache backend: {kind}")
-    print(f"  location  {backend['location']}")
-    if remote:
-        status = "reachable" if backend["reachable"] else "unreachable"
-        print(f"  status    {status}")
-        if not backend["reachable"]:
-            return 1
+    print(f"run cache at {cache.root}")
     print(f"  entries   {cache.entry_count()}")
     print(f"  size      {cache.size_bytes() / 1024:.1f} KB")
-    if fragments is not None:
-        print(f"fragment store at {fragments.root}")
-        print(f"  entries   {fragments.entry_count()}")
-        print(f"  size      {fragments.size_bytes() / 1024:.1f} KB")
+    print(f"fragment store at {fragments.root}")
+    print(f"  entries   {fragments.entry_count()}")
+    print(f"  size      {fragments.size_bytes() / 1024:.1f} KB")
     return 0
-
-
-def _sweep_scheduler(args):
-    """The scheduler one sweep invocation runs against."""
-    from repro.evaluation.runcache import RunCache
-    from repro.evaluation.runner import RunScheduler
-    cache = None
-    if not args.no_cache:
-        cache = RunCache.default(args.cache_dir, cache_url=args.cache_url)
-    return RunScheduler(jobs=args.jobs, cache=cache)
-
-
-def _cmd_sweep(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.evaluation.shard import (
-        SweepError,
-        merge_sweeps,
-        parse_shard_spec,
-        run_sweep,
-    )
-
-    try:
-        if args.merge:
-            manifests = []
-            for path in args.merge:
-                try:
-                    manifests.append(json.loads(
-                        Path(path).read_text(encoding="utf-8")))
-                except (OSError, ValueError) as exc:
-                    print(f"sweep merge: {path}: {exc}", file=sys.stderr)
-                    return 2
-            manifest = merge_sweeps(manifests)
-        else:
-            from repro.evaluation.cli import FAST_SUBSET
-            benchmarks = args.benchmarks or FAST_SUBSET
-            shard = (parse_shard_spec(args.shard)
-                     if args.shard is not None else None)
-            scheduler = _sweep_scheduler(args)
-            manifest = run_sweep(benchmarks, tuple(args.widths),
-                                 engine=args.engine, scheduler=scheduler,
-                                 shard=shard,
-                                 incremental=args.incremental)
-    except SweepError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 1
-
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-    if args.json:
-        print(json.dumps(manifest, indent=2, sort_keys=True))
-        return 0
-
-    sweep = manifest["sweep"]
-    stats = manifest["stats"]
-    coverage = manifest["coverage"]
-    widths = ", ".join(str(w) for w in sweep["widths"])
-    print(f"sweep: {len(sweep['benchmarks'])} benchmark(s) x "
-          f"widths ({widths}) + baselines = "
-          f"{coverage['total_requests']} runs (engine {sweep['engine']})")
-    if args.merge:
-        print(f"merged {stats['shards_merged']} shard manifest(s): "
-              f"coverage OK, {stats['machine_runs']} machine-runs total, "
-              f"no duplicates")
-    else:
-        backend = manifest["backend"]
-        if sweep["shard"]:
-            print(f"shard {sweep['shard']}: {coverage['selected']} of "
-                  f"{coverage['total_requests']} keys")
-        print(f"backend: {backend['backend']} at "
-              f"{backend.get('location', '-')}")
-        probe = (f", probe round-trips {stats['probe_calls']}"
-                 if "probe_calls" in stats else "")
-        mode = "incremental: " if sweep["incremental"] else ""
-        print(f"{mode}simulated {stats['machine_runs']}, "
-              f"warm {stats['cache_hits']}{probe}, "
-              f"{stats['wall_seconds']:.2f}s")
-    if manifest.get("speedups"):
-        speedups = manifest["speedups"]
-        mean = sum(speedups.values()) / len(speedups)
-        print(f"speedups: {len(speedups)} records, mean {mean:.2f}x "
-              f"(gate with `repro bench compare OLD NEW`)")
-    if args.out:
-        print(f"wrote manifest to {args.out}")
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    from repro.evaluation.runcache import RunCache
-    from repro.evaluation.simserver import SimServer
-
-    cache = (None if args.no_cache
-             else RunCache.default(args.cache_dir, cache_url=args.cache_url))
-    server = SimServer(host=args.host, port=args.port, jobs=args.jobs,
-                       cache=cache)
-    server.start()
-    backend = "no cache (every request simulates)" if cache is None \
-        else cache.describe()["location"]
-    print(f"serving simulations at {server.url} "
-          f"({server.jobs} worker{'s' if server.jobs != 1 else ''}, "
-          f"cache: {backend}; Ctrl-C to stop)")
-    import time
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        server.shutdown()
-    return 0
-
-
-def _cmd_loadtest(args) -> int:
-    import json
-
-    from repro.evaluation.loadtest import (
-        LoadtestError,
-        LoadtestPlan,
-        loadtest_ok,
-        render_summary,
-        run_loadtest,
-    )
-
-    try:
-        plan = LoadtestPlan(requests=args.requests,
-                            concurrency=args.concurrency,
-                            storm=args.storm)
-    except ValueError as exc:
-        print(f"loadtest: {exc}", file=sys.stderr)
-        return 2
-
-    server = None
-    url = args.url
-    if url is None:
-        # Self-contained mode: boot a private farm over a throwaway
-        # cache so the loadtest measures the service, not stale state.
-        import tempfile
-
-        from repro.evaluation.runcache import RunCache
-        from repro.evaluation.simserver import SimServer
-        scratch = tempfile.mkdtemp(prefix="repro-loadtest-")
-        server = SimServer(jobs=args.jobs,
-                           cache=RunCache(scratch)).start()
-        url = server.url
-    try:
-        payload = run_loadtest(url, plan)
-    except LoadtestError as exc:
-        print(f"loadtest: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if server is not None:
-            server.shutdown()
-
-    if args.out:
-        from pathlib import Path
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(render_summary(payload))
-        if args.out:
-            print(f"wrote payload to {args.out} "
-                  f"(gate with `repro bench compare OLD {args.out}`)")
-    return 0 if loadtest_ok(payload) else 1
 
 
 def _cmd_retranslate(args) -> int:
@@ -486,119 +274,15 @@ def main(argv=None) -> int:
     sub.add_parser("evaluate", help="regenerate evaluation artifacts "
                                     "(see `repro evaluate --help`)")
 
-    cache_p = sub.add_parser("cache", help="inspect, clear, or serve the "
+    cache_p = sub.add_parser("cache", help="inspect or clear the "
                                            "persistent run cache")
-    cache_p.add_argument("action", choices=("info", "clear", "serve"),
-                         help="'info' prints backend, entry count, and "
-                              "size; 'clear' deletes every cached run; "
-                              "'serve' shares the cache directory over "
-                              "HTTP for --cache-url clients")
+    cache_p.add_argument("action", choices=("info", "clear"),
+                         help="'info' prints entry counts and sizes; "
+                              "'clear' deletes every cached run and "
+                              "fragment")
     cache_p.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="cache directory (default: $REPRO_CACHE_DIR "
                               "or ~/.cache/repro-liquid-simd)")
-    cache_p.add_argument("--cache-url", default=None, metavar="URL",
-                         help="address a running `repro cache serve` "
-                              "daemon instead of a local directory "
-                              "(default: $REPRO_CACHE_URL; info/clear "
-                              "only)")
-    cache_p.add_argument("--host", default="127.0.0.1",
-                         help="serve: bind address (default: 127.0.0.1)")
-    cache_p.add_argument("--port", type=int, default=8742,
-                         help="serve: port, 0 for ephemeral "
-                              "(default: 8742)")
-
-    sweep_p = sub.add_parser(
-        "sweep",
-        help="run (one shard of) the paper-figure sweep through the run "
-             "cache and write a JSON manifest; --merge verifies and "
-             "combines shard manifests")
-    sweep_p.add_argument("--benchmarks", nargs="*", default=None,
-                         metavar="NAME", choices=BENCHMARK_ORDER,
-                         help="benchmarks to sweep (default: the fast "
-                              "evaluation subset)")
-    sweep_p.add_argument("--widths", nargs="*", type=int,
-                         default=[2, 4, 8, 16],
-                         help="SIMD widths to sweep (default: 2 4 8 16)")
-    sweep_p.add_argument("--engine", default="fast",
-                         help="execution engine (default: fast)")
-    sweep_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker processes (default: cpu count)")
-    sweep_p.add_argument("--shard", default=None, metavar="K/N",
-                         help="execute only this sweep's K-th of N "
-                              "disjoint hash-slices (requires a cache)")
-    sweep_p.add_argument("--incremental", action="store_true",
-                         help="probe the cache for the whole sweep in one "
-                              "round-trip and simulate only misses")
-    sweep_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="run-cache directory (default: "
-                              "$REPRO_CACHE_DIR or ~/.cache/"
-                              "repro-liquid-simd)")
-    sweep_p.add_argument("--cache-url", default=None, metavar="URL",
-                         help="shared run-cache daemon to run against "
-                              "(default: $REPRO_CACHE_URL)")
-    sweep_p.add_argument("--no-cache", action="store_true",
-                         help="bypass the run cache (incompatible with "
-                              "--shard/--incremental)")
-    sweep_p.add_argument("--merge", nargs="+", default=None,
-                         metavar="MANIFEST",
-                         help="instead of running: verify and merge these "
-                              "shard manifest files")
-    sweep_p.add_argument("--out", default=None, metavar="FILE",
-                         help="write the manifest JSON to FILE")
-    sweep_p.add_argument("--json", action="store_true",
-                         help="print the manifest as JSON instead of a "
-                              "summary")
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the simulation farm: POST (benchmark, program_kind, "
-             "width, engine) jobs to /v1/runs; warm hits answer from "
-             "the run cache, identical in-flight requests coalesce, "
-             "cold runs fan out over a bounded worker pool")
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default: 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=8979,
-                         help="port, 0 for ephemeral (default: 8979)")
-    serve_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="simulation worker processes "
-                              "(default: cpu count)")
-    serve_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="run-cache directory (default: "
-                              "$REPRO_CACHE_DIR or ~/.cache/"
-                              "repro-liquid-simd)")
-    serve_p.add_argument("--cache-url", default=None, metavar="URL",
-                         help="answer warm hits from a `repro cache "
-                              "serve` daemon instead of a local "
-                              "directory (default: $REPRO_CACHE_URL)")
-    serve_p.add_argument("--no-cache", action="store_true",
-                         help="serve without a persistent cache "
-                              "(every distinct request simulates)")
-
-    load_p = sub.add_parser(
-        "loadtest",
-        help="hammer a `repro serve` farm with a mixed warm/cold/"
-             "duplicate-storm workload and write the latency + "
-             "dedup-ratio payload `repro bench compare` gates")
-    load_p.add_argument("--url", default=None, metavar="URL",
-                        help="target farm (default: boot a private one "
-                             "over a throwaway cache)")
-    load_p.add_argument("--requests", type=int, default=400, metavar="N",
-                        help="warm mixed-phase request volume "
-                             "(default: 400)")
-    load_p.add_argument("--concurrency", type=int, default=32, metavar="C",
-                        help="concurrent keep-alive connections "
-                             "(default: 32)")
-    load_p.add_argument("--storm", type=int, default=48, metavar="D",
-                        help="identical-request storm size exercising "
-                             "single-flight dedup (default: 48)")
-    load_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the private farm "
-                             "(ignored with --url; default: cpu count)")
-    load_p.add_argument("--out", default=None, metavar="FILE",
-                        help="write the BENCH-schema payload to FILE")
-    load_p.add_argument("--json", action="store_true",
-                        help="print the payload as JSON instead of a "
-                             "summary")
 
     retr_p = sub.add_parser(
         "retranslate",
@@ -666,12 +350,6 @@ def main(argv=None) -> int:
         return _cmd_run(args)
     if args.command == "cache":
         return _cmd_cache(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "loadtest":
-        return _cmd_loadtest(args)
     if args.command == "retranslate":
         return _cmd_retranslate(args)
     if args.command == "telemetry":

@@ -1,11 +1,11 @@
 """Persistent content-addressed store of translation outcomes.
 
 The paper's microcode cache is an 8-entry SRAM — per-process, volatile,
-re-filled by observing the scalar loop on every run.  At fleet scale the
-same (scalar fragment, translator generation, width) triple recurs
-across thousands of processes, so translations and cross-width
-retranslations can be computed once and shared, exactly like the run
-cache shares simulation results (:mod:`repro.evaluation.runcache`).
+re-filled by observing the scalar loop on every run.  The same (scalar
+fragment, translator generation, width) triple recurs across runs and
+processes, so translations and cross-width retranslations can be
+computed once and shared, exactly like the run cache shares simulation
+results (:mod:`repro.evaluation.runcache`).
 
 Entries are addressed by the SHA-256 of
 
@@ -24,25 +24,24 @@ inside the run-cache root (``REPRO_CACHE_DIR`` / ``--cache-dir``) but in
 their own subtree, which the run cache's shard iteration never descends
 into, so the two caches share location semantics without sharing files.
 
-Failure handling mirrors the run cache: corrupt, truncated or
-version-mismatched entries are deleted best-effort and reported as
-misses (``fragstore.corrupt``), so the caller falls back to
-(re)translation; a concurrent writer that loses the store race simply
-skips the write (``fragstore.race``) — translation is deterministic, so
-whichever writer won persisted the same bytes.  An optional
-``max_entries`` bound with ``lru`` or ``fifo`` eviction supports the
-eviction-policy ablation in ``benchmarks/``.
+Both stores are a :class:`~repro.contentstore.ContentStore`, so failure
+handling is the run cache's: corrupt, truncated or version-mismatched
+entries are deleted best-effort and reported as misses
+(``fragstore.corrupt``), so the caller falls back to (re)translation; a
+concurrent writer that loses the atomic store race simply skips the
+write (``fragstore.race``) — translation is deterministic, so whichever
+writer won persisted the same bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.contentstore import ContentStore, default_cache_dir, entry_bytes
 from repro.core.translate.translator import TranslatorConfig
 from repro.observability import telemetry as _telemetry
 
@@ -52,8 +51,6 @@ FRAGSTORE_FORMAT_VERSION = 1
 
 #: Subdirectory of the cache root holding the fragment store.
 FRAGSTORE_SUBDIR = "fragments"
-
-EVICTION_POLICIES = ("lru", "fifo")
 
 
 def translator_config_fingerprint(config: TranslatorConfig) -> dict:
@@ -106,10 +103,15 @@ class FragmentStoreStats:
     stores: int = 0
     corrupt: int = 0
     races: int = 0
-    evictions: int = 0
 
 
-class FragmentStore:
+def _result_dict(result) -> dict:
+    if not isinstance(result, dict):
+        raise ValueError("malformed result payload")
+    return result
+
+
+class FragmentStore(ContentStore):
     """On-disk store of serialized translation results, keyed by content.
 
     Stored payloads are plain dicts (``TranslationResult.to_dict()`` /
@@ -117,67 +119,34 @@ class FragmentStore:
     owns (de)serialization so the store stays schema-agnostic.
     """
 
-    def __init__(self, root: Union[str, Path],
-                 max_entries: Optional[int] = None,
-                 eviction: str = "lru") -> None:
-        if eviction not in EVICTION_POLICIES:
-            raise ValueError(
-                f"eviction must be one of {EVICTION_POLICIES}, "
-                f"got {eviction!r}")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.root = Path(root)
-        self.max_entries = max_entries
-        self.eviction = eviction
+    format_version = FRAGSTORE_FORMAT_VERSION
+
+    def __init__(self, root: Union[str, Path]) -> None:
+        super().__init__(root)
         self.stats = FragmentStoreStats()
 
     @classmethod
-    def default(cls, cache_dir: Optional[Union[str, Path]] = None,
-                **kwargs) -> "FragmentStore":
+    def default(cls, cache_dir: Optional[Union[str, Path]] = None
+                ) -> "FragmentStore":
         """Store under *cache_dir*, ``$REPRO_CACHE_DIR``, or ``~/.cache``."""
-        from repro.evaluation.runcache import default_cache_dir
         base = Path(cache_dir) if cache_dir else default_cache_dir()
-        return cls(base / FRAGSTORE_SUBDIR, **kwargs)
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return cls(base / FRAGSTORE_SUBDIR)
 
     def load(self, key: str) -> Optional[dict]:
         """The stored result payload for *key*, or None (miss / corrupt).
 
-        A corrupted entry — truncated write, garbage JSON, wrong format
-        version — is deleted best-effort and reported as a miss so the
-        caller falls back to (re)translating, never crashes.
+        A corrupted entry is deleted best-effort and reported as a miss
+        so the caller falls back to (re)translating, never crashes.
         """
-        path = self.path_for(key)
+        result, corrupt = self.read_entry(key, _result_dict)
         tel = _telemetry.get()
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if payload.get("format_version") != FRAGSTORE_FORMAT_VERSION:
-                raise ValueError("format version mismatch")
-            result = payload["result"]
-            if not isinstance(result, dict):
-                raise ValueError("malformed result payload")
-        except FileNotFoundError:
+        if result is None:
             self.stats.misses += 1
+            if corrupt:
+                self.stats.corrupt += 1
+                tel.count("fragstore.corrupt")
             tel.count("fragstore.miss")
             return None
-        except (OSError, ValueError, KeyError, TypeError):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            tel.count("fragstore.corrupt")
-            tel.count("fragstore.miss")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if self.eviction == "lru":
-            # Loads refresh recency; FIFO leaves insertion order alone.
-            try:
-                os.utime(path)
-            except OSError:
-                pass
         self.stats.hits += 1
         tel.count("fragstore.hit")
         return result
@@ -189,72 +158,10 @@ class FragmentStore:
         that already exists holds the same bytes — losing the race is
         not an error, just skipped work.
         """
-        path = self.path_for(key)
-        tel = _telemetry.get()
-        if path.exists():
+        payload = entry_bytes(FRAGSTORE_FORMAT_VERSION, key, result)
+        if self.write_entry(key, payload):
+            self.stats.stores += 1
+            _telemetry.get().count("fragstore.store")
+        else:
             self.stats.races += 1
-            tel.count("fragstore.race")
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {"format_version": FRAGSTORE_FORMAT_VERSION, "key": key,
-             "result": result},
-            separators=(",", ":"),
-        )
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, path)
-        self.stats.stores += 1
-        tel.count("fragstore.store")
-        if self.max_entries is not None:
-            self._evict_over_capacity(keep=path)
-
-    def _evict_over_capacity(self, keep: Path) -> None:
-        """Delete oldest-mtime entries until the bound holds.
-
-        Under ``lru`` every load refreshed its entry's mtime, so oldest
-        mtime is least-recently-*used*; under ``fifo`` mtimes are
-        untouched after the write, so oldest mtime is first-*in*.
-        """
-        entries = sorted(self.entry_paths(),
-                         key=lambda p: (p.stat().st_mtime, p.name))
-        excess = len(entries) - self.max_entries
-        tel = _telemetry.get()
-        for path in entries:
-            if excess <= 0:
-                break
-            if path == keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            excess -= 1
-            self.stats.evictions += 1
-            tel.count("fragstore.evict")
-
-    # -- maintenance (the ``repro cache`` subcommand) -------------------------
-
-    def entry_paths(self):
-        if not self.root.is_dir():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if shard.is_dir():
-                yield from sorted(shard.glob("*.json"))
-
-    def entry_count(self) -> int:
-        return sum(1 for _ in self.entry_paths())
-
-    def size_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.entry_paths())
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for path in list(self.entry_paths()):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+            _telemetry.get().count("fragstore.race")

@@ -289,7 +289,7 @@ def retranslate_entry(entry: MicrocodeEntry, target_width: int,
     permutation repertoire and vector-opcode set gate the rewrite the
     same way they gate a fresh translation).  On success the result
     carries a new :class:`MicrocodeEntry` with ``ready_cycle=0`` —
-    retranslation is an offline/fleet operation, not a per-run latency.
+    retranslation is an offline operation, not a per-run latency.
     """
     tel = _telemetry.get()
     tel.count("retranslate.attempts")

@@ -58,10 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent run-cache directory (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro-liquid-simd)")
-    parser.add_argument("--cache-url", default=None, metavar="URL",
-                        help="shared run-cache daemon (`repro cache "
-                             "serve`) to use instead of a local directory "
-                             "(default: $REPRO_CACHE_URL)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the persistent run cache "
                              "(always re-simulate)")
@@ -147,9 +143,7 @@ def _run_evaluation(args) -> int:
         benchmarks = args.benchmarks or FAST_SUBSET
         selected = args.experiments
 
-    cache = (None if args.no_cache
-             else RunCache.default(args.cache_dir,
-                                   cache_url=args.cache_url))
+    cache = None if args.no_cache else RunCache.default(args.cache_dir)
     scheduler = RunScheduler(jobs=args.jobs, cache=cache)
     ctx = experiments.EvalContext(benchmarks, engine=args.engine,
                                   scheduler=scheduler)

@@ -55,7 +55,7 @@ def translate_at_width(program: Program, config: MachineConfig,
     With a *store*, results are content-addressed by the encoded scalar
     program + function + ``(W, W)`` + translator fingerprint; when every
     outlined function hits, **no machine run happens at all** — the
-    warm-fleet path the fragment store exists for.  Misses fall back to
+    warm path the fragment store exists for.  Misses fall back to
     one scout run whose results are then persisted (aborts too: a loop
     the translator rejects once is rejected forever under that config).
     """
@@ -90,8 +90,8 @@ def retranslate_at_width(entries: Iterable[MicrocodeEntry],
 
     Retranslations are keyed by the **source fragment's** canonical
     bytes (plus source/target widths and the target translator
-    fingerprint), so the same entry retranslated by any process in a
-    fleet hits the same slot.
+    fingerprint), so the same entry retranslated by any process sharing
+    the store hits the same slot.
     """
     results: Dict[str, RetranslationResult] = {}
     for entry in entries:

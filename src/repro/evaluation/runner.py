@@ -12,9 +12,8 @@ so the evaluation layer funnels them all through one
 2. Requests already answered this process (memo) or by a previous
    process (the persistent :class:`~repro.evaluation.runcache.RunCache`)
    are skipped.  Cache presence is probed for the whole batch in **one**
-   ``contains_many`` round-trip — one directory scan locally, one HTTP
-   request against a shared ``repro cache serve`` daemon — instead of a
-   per-key probe loop.
+   ``contains_many`` call — one ``listdir`` per touched cache shard —
+   instead of a per-key probe loop.
 3. The remainder fans out across a ``ProcessPoolExecutor``
    (``--jobs N``, default ``os.cpu_count()``).  ``--jobs 1`` keeps
    everything in-process — today's sequential behavior, the right mode
@@ -150,11 +149,6 @@ class RunScheduler:
             self.jobs = os.cpu_count() or 1
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        #: Where each request of the most recent ``run_many`` batch was
-        #: answered from: ``"memo"`` | ``"cache"`` | ``"simulated"``.
-        #: Sweep manifests (:mod:`repro.evaluation.shard`) read this to
-        #: attribute per-key provenance without a second cache probe.
-        self.last_batch: Dict[RunRequest, str] = {}
         self._memo: Dict[RunRequest, RunResult] = {}
         self._programs: Dict[Tuple[str, str, int], Program] = {}
         self._encoded: Dict[Tuple[str, str, int], bytes] = {}
@@ -178,22 +172,19 @@ class RunScheduler:
         # "scheduler.batch.simulate" isolates actual simulation time.
         tel = _telemetry.get()
         results: Dict[RunRequest, RunResult] = {}
-        self.last_batch = {}
         with tel.span("scheduler.batch"):
             missing: List[RunRequest] = []
             for request in unique:
                 memo = self._memo.get(request)
                 if memo is not None:
                     self.stats.memo_hits += 1
-                    self.last_batch[request] = "memo"
                     results[request] = memo
                     continue
                 missing.append(request)
 
             # One batched presence probe for everything the memo could
-            # not answer — a single directory scan (or HTTP round-trip
-            # against a shared cache daemon) instead of a per-key load
-            # probe; only keys the probe reports present are then read.
+            # not answer instead of a per-key load probe; only keys the
+            # probe reports present are then read.
             keys: Dict[RunRequest, str] = {}
             present: set = set()
             if self.cache is not None and missing:
@@ -208,7 +199,6 @@ class RunScheduler:
                     hit = self.cache.load(key)
                     if hit is not None:
                         self.stats.cache_hits += 1
-                        self.last_batch[request] = "cache"
                         self._memo[request] = hit
                         results[request] = hit
                         continue
@@ -240,8 +230,6 @@ class RunScheduler:
         A width sweep issues many requests against the same program;
         memoizing the encoded form means one kernel build and one
         encode serve every key computation and every worker shipment.
-        The sim server (:mod:`repro.evaluation.simserver`) rides the
-        same memo to ship cold requests to its persistent pool.
         """
         encoded = self._encoded.get(request.program_id)
         if encoded is None:
@@ -257,7 +245,6 @@ class RunScheduler:
                 result: RunResult,
                 results: Dict[RunRequest, RunResult]) -> None:
         self.stats.executed += 1
-        self.last_batch[request] = "simulated"
         if key is not None and self.cache is not None:
             self.cache.store(key, result)
         self._memo[request] = result

@@ -1,311 +1,224 @@
-"""Shared run-cache daemon + HTTP backend tests (docs/evaluation-runner.md).
+"""Entry-store contract tests for the persistent caches (docs/evaluation-runner.md).
 
-The fleet contract the cache server must honor:
+Both persistent caches — the run cache and the fragment store — are a
+:class:`repro.contentstore.ContentStore` over a local sharded directory.
+The contract they share:
 
-* local and HTTP backends answer each other's entries byte-identically
-  (the daemon serves the very files ``--cache-dir`` writes),
+* entry bytes round-trip, and ``delete``/``clear``/``entry_count``/
+  ``size_bytes`` maintain them,
+* a run one ``RunCache`` stores is byte-identical and loadable through
+  any other ``RunCache`` on the same directory,
 * stores are first-writer-wins — concurrent writers of one key, in one
-  process or racing across processes, leave exactly one valid entry,
-* a whole sweep's presence probe costs one HTTP round-trip,
-* every network failure fails open (miss / skipped store / empty
-  probe), counted under ``runcache.http.errors``, never raised.
+  process or racing across processes, leave exactly one valid entry
+  and no temp files,
+* a batch presence probe costs one directory scan per touched shard,
+* an unusable cache root reads as all-miss instead of raising.
+
+The module keeps the name it had while the same contract was also
+checked over an HTTP cache daemon, so these test ids stay stable.
 """
 
-import json
+import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.evaluation.cacheserver import (
-    CacheServer,
-    HTTPCacheBackend,
-    SERVICE_NAME,
-)
-from repro.evaluation.runcache import (
-    CACHE_FORMAT_VERSION,
-    LocalDirectoryBackend,
-    RunCache,
-    entry_payload,
-    run_key,
-)
+from repro.contentstore import ContentStore, entry_bytes
+from repro.core.translate.fragstore import FragmentStore
+from repro.evaluation.runcache import RunCache, entry_payload, run_key
 from repro.evaluation.runner import build_request_program, execute_request
+from repro.memory.cache import CacheStats
 from repro.observability import telemetry
+from repro.pipeline.core import PipelineStats
+from repro.system.metrics import RunResult
 from tests.test_runner import liquid_request
 
 KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "1" * 62
 
 
-@pytest.fixture()
-def server(tmp_path):
-    server = CacheServer(tmp_path / "served", port=0).start()
-    yield server
-    server.shutdown()
-
-
-def _http(server) -> HTTPCacheBackend:
-    return HTTPCacheBackend(server.url)
+def _tiny_run() -> RunResult:
+    return RunResult("p", "c", cycles=1, instructions=1,
+                     pipeline=PipelineStats(), icache=CacheStats(),
+                     dcache=CacheStats(), functions={}, ucode_cache=None,
+                     arrays={})
 
 
 class TestRoundtrip:
-    def test_store_then_load_bytes(self, server):
-        backend = _http(server)
-        assert backend.load(KEY_A) is None
-        assert backend.store(KEY_A, b"payload-bytes") is True
-        assert backend.load(KEY_A) == b"payload-bytes"
+    def test_store_then_load_bytes(self, tmp_path):
+        store = ContentStore(tmp_path)
+        assert store.read_entry(KEY_A, str) == (None, False)
+        payload = entry_bytes(store.format_version, KEY_A, "payload")
+        assert store.write_entry(KEY_A, payload) is True
+        assert store.path_for(KEY_A).read_bytes() == payload
+        assert store.read_entry(KEY_A, str) == ("payload", False)
 
-    def test_local_write_visible_over_http(self, server):
-        server.backend.store(KEY_A, b"written-locally")
-        assert _http(server).load(KEY_A) == b"written-locally"
-
-    def test_http_write_visible_locally(self, server):
-        _http(server).store(KEY_A, b"written-remotely")
-        assert server.backend.load(KEY_A) == b"written-remotely"
-
-    def test_backends_interoperate_on_real_entries(self, server):
-        """A cached run stored via one backend is byte-identical and
-        loadable through the other — the --cache-dir/--cache-url duality
-        the CACHE_FORMAT_VERSION contract promises."""
+    def test_backends_interoperate_on_real_entries(self, tmp_path):
+        """A run stored by one ``RunCache`` is byte-identical on disk and
+        loadable through another on the same directory — what lets
+        several ``evaluate`` processes share one ``--cache-dir``."""
         request = liquid_request()
         key = run_key(build_request_program(request), request.config)
         result = execute_request(request)
-        via_http = RunCache(backend=_http(server))
-        via_http.store(key, result)
+        RunCache(tmp_path).store(key, result)
 
-        local = RunCache(backend=server.backend)
-        hit = local.load(key)
+        reader = RunCache(tmp_path)
+        hit = reader.load(key)
         assert hit is not None and hit.cycles == result.cycles
-        assert server.backend.load(key) == entry_payload(key, result)
+        assert reader.path_for(key).read_bytes() == entry_payload(key, result)
 
-    def test_delete_removes_entry(self, server):
-        backend = _http(server)
-        backend.store(KEY_A, b"x")
-        backend.delete(KEY_A)
-        assert backend.load(KEY_A) is None
+    def test_delete_removes_entry(self, tmp_path):
+        store = ContentStore(tmp_path)
+        store.write_entry(KEY_A, entry_bytes(store.format_version, KEY_A, 1))
+        store.delete(KEY_A)
+        assert store.read_entry(KEY_A, int) == (None, False)
+        store.delete(KEY_A)  # deleting a missing entry is a no-op
 
-    def test_clear_reports_removed(self, server):
-        backend = _http(server)
-        backend.store(KEY_A, b"x")
-        backend.store(KEY_B, b"y")
-        assert backend.clear() == 2
-        assert backend.describe()["entries"] == 0
+    def test_clear_reports_removed(self, tmp_path):
+        store = ContentStore(tmp_path)
+        store.write_entry(KEY_A, b"x")
+        store.write_entry(KEY_B, b"y")
+        assert store.clear() == 2
+        assert store.entry_count() == 0
 
 
 class TestFirstWriterWins:
-    def test_second_store_loses(self, server):
-        backend = _http(server)
-        assert backend.store(KEY_A, b"first") is True
-        assert backend.store(KEY_A, b"first") is False
-        assert backend.load(KEY_A) == b"first"
+    def test_second_store_loses(self, tmp_path):
+        cache = RunCache(tmp_path)
+        assert cache.write_entry(KEY_A, b"first") is True
+        assert cache.write_entry(KEY_A, b"second") is False
+        assert cache.path_for(KEY_A).read_bytes() == b"first"
 
-    def test_race_is_counted_not_raised(self, server):
-        cache = RunCache(backend=_http(server))
-        request = liquid_request()
-        key = run_key(build_request_program(request), request.config)
-        result = execute_request(request)
+    def test_race_is_counted_not_raised(self, tmp_path):
+        cache = RunCache(tmp_path)
+        result = _tiny_run()
         tel = telemetry.enable()
         try:
-            cache.store(key, result)
-            cache.store(key, result)
+            cache.store(KEY_A, result)
+            cache.store(KEY_A, result)
             counters = dict(tel.to_dict()["counters"])
         finally:
             telemetry.disable()
         assert cache.stats.stores == 1 and cache.stats.races == 1
         assert counters.get("runcache.stores") == 1
         assert counters.get("runcache.races") == 1
+        assert cache.path_for(KEY_A).read_bytes() == \
+            entry_payload(KEY_A, result)
 
 
-def _racing_store(root_and_tag):
-    """Child-process body: store one key, report whether we won."""
-    root, tag = root_and_tag
-    backend = LocalDirectoryBackend(root)
-    # Deterministic results mean racing writers hold identical bytes.
-    return backend.store(KEY_A, b"identical-entry-bytes"), tag
+#: What each store persists; racing writers hold identical values.
+_ENTRY = {RunCache: _tiny_run,
+          FragmentStore: lambda: {"function": "f", "ok": True}}
+
+#: Keys both racing writers store, in the same order and at the same
+#: moment, so their exists-check/publish windows overlap.
+_RACE_KEYS = [f"{i:02x}" + "0" * 62 for i in range(64)]
+
+
+def _racing_store(args):
+    """Child-process body: store every race key, report how many we won."""
+    store_cls, root, start = args
+    store = store_cls(root)
+    value = _ENTRY[store_cls]()
+    while time.time() < start:
+        pass
+    for key in _RACE_KEYS:
+        store.store(key, value)
+    return store.stats.stores
+
+
+def _race(store_cls, root) -> list:
+    start = time.time() + 0.5
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(_racing_store, [(store_cls, root, start)] * 2))
 
 
 class TestConcurrentWriters:
+    """Both stores publish through :meth:`ContentStore.write_entry`, so
+    each race runs once per store class."""
+
     def test_two_processes_one_valid_entry(self, tmp_path):
-        """Two processes racing ``store()`` on one key: exactly one
-        winner, and the surviving entry is intact (the fragment store's
-        first-writer-wins guarantee, ported to the run cache)."""
-        root = str(tmp_path / "raced")
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            outcomes = list(pool.map(_racing_store,
-                                     [(root, "a"), (root, "b")] * 4))
-        wins = sum(1 for won, _ in outcomes if won)
-        assert wins == 1, f"expected exactly one winning store: {outcomes}"
-        backend = LocalDirectoryBackend(root)
-        assert backend.load(KEY_A) == b"identical-entry-bytes"
-        assert sum(1 for _ in backend.entry_paths()) == 1
+        """Two processes racing ``store()`` on each key: exactly one
+        winner per key, and every surviving entry is intact."""
+        for store_cls in _ENTRY:
+            root = str(tmp_path / store_cls.__name__)
+            wins = _race(store_cls, root)
+            assert sum(wins) == len(_RACE_KEYS), \
+                f"{store_cls.__name__}: expected one winning store per " \
+                f"key: {wins}"
+            store = store_cls(root)
+            assert all(store.load(key) is not None for key in _RACE_KEYS)
+            assert store.entry_count() == len(_RACE_KEYS)
 
     def test_no_tmp_litter_after_race(self, tmp_path):
-        root = tmp_path / "raced"
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            list(pool.map(_racing_store, [(str(root), "a"), (str(root), "b")]))
-        leftovers = [p for p in root.rglob("*") if p.is_file()
-                     and not p.name.endswith(".json")]
-        assert leftovers == [], "losing writer must clean up its temp file"
+        for store_cls in _ENTRY:
+            root = tmp_path / store_cls.__name__
+            _race(store_cls, str(root))
+            leftovers = [p for p in root.rglob("*") if p.is_file()
+                         and not p.name.endswith(".json")]
+            assert leftovers == [], \
+                f"{store_cls.__name__}: losing writer must clean up its " \
+                f"temp file"
+
+
+@pytest.fixture()
+def listdir_calls(monkeypatch):
+    """Every directory listed during the test, in order."""
+    calls = []
+    real_listdir = os.listdir
+    monkeypatch.setattr(os, "listdir",
+                        lambda path: calls.append(path) or real_listdir(path))
+    return calls
 
 
 class TestBatchProbe:
-    def test_contains_many_is_one_round_trip(self, server):
-        backend = _http(server)
-        backend.store(KEY_A, b"x")
-        posts_before = server.request_counts.get("POST", 0)
-        present = backend.contains_many([KEY_A, KEY_B])
-        assert present == {KEY_A}
-        assert server.request_counts.get("POST", 0) == posts_before + 1
+    def test_contains_many_is_one_round_trip(self, tmp_path, listdir_calls):
+        """Keys sharing a shard are answered by one directory scan, not
+        one ``stat`` per key."""
+        cache = RunCache(tmp_path)
+        same_shard = ["aa" + c * 62 for c in "123"]
+        cache.write_entry(KEY_A, b"x")
+        cache.write_entry(same_shard[0], b"y")
+        present = cache.contains_many([KEY_A] + same_shard)
+        assert present == {KEY_A, same_shard[0]}
+        assert len(listdir_calls) == 1
+        assert cache.stats.probe_calls == 1
+        assert cache.stats.probed == 4
 
-    def test_empty_probe_skips_network(self, server):
-        posts_before = server.request_counts.get("POST", 0)
-        assert _http(server).contains_many([]) == set()
-        assert server.request_counts.get("POST", 0) == posts_before
+    def test_empty_probe_skips_network(self, tmp_path, listdir_calls):
+        """An empty probe touches no directory and counts no telemetry."""
+        cache = RunCache(tmp_path)
+        tel = telemetry.enable()
+        try:
+            assert cache.contains_many([]) == set()
+            counters = dict(tel.to_dict()["counters"])
+        finally:
+            telemetry.disable()
+        assert listdir_calls == []
+        assert "runcache.probe.calls" not in counters
 
 
 class TestFailOpen:
     @pytest.fixture()
-    def dead(self, server):
-        """A backend whose daemon has already gone away."""
-        backend = _http(server)
-        server.shutdown()
-        return backend
+    def dead(self, tmp_path):
+        """A run cache whose root is a plain file, not a directory."""
+        root = tmp_path / "not-a-directory"
+        root.write_bytes(b"")
+        return RunCache(root)
 
     def test_load_fails_open(self, dead):
         assert dead.load(KEY_A) is None
-
-    def test_store_fails_open(self, dead):
-        assert dead.store(KEY_A, b"x") is False
+        assert dead.stats.misses == 1 and dead.stats.errors == 0
 
     def test_probe_fails_open(self, dead):
         assert dead.contains_many([KEY_A, KEY_B]) == set()
 
-    def test_describe_reports_unreachable(self, dead):
-        info = dead.describe()
-        assert info["backend"] == "http"
-        assert info["reachable"] is False
-
-    def test_failures_are_counted(self, dead):
-        tel = telemetry.enable()
-        try:
-            dead.load(KEY_A)
-            dead.store(KEY_A, b"x")
-            counters = dict(tel.to_dict()["counters"])
-        finally:
-            telemetry.disable()
-        assert counters.get("runcache.http.errors") == 2
-        assert counters.get("runcache.http.requests") == 2
-
-    def test_failopen_warns_once_at_threshold(self, dead, caplog):
-        """Persistent unreachability surfaces exactly one warning (plus
-        a ``runcache.http.failopen`` count) at the consecutive-failure
-        threshold — not a warning per request, not silence forever."""
-        import logging
-
-        from repro.evaluation.cacheserver import FAILOPEN_THRESHOLD
-
-        tel = telemetry.enable()
-        try:
-            with caplog.at_level(logging.WARNING,
-                                 logger="repro.evaluation.cacheserver"):
-                for _ in range(FAILOPEN_THRESHOLD + 4):
-                    dead.load(KEY_A)
-            counters = dict(tel.to_dict()["counters"])
-        finally:
-            telemetry.disable()
-        warnings = [r for r in caplog.records
-                    if "failing open" in r.getMessage()]
-        assert len(warnings) == 1, \
-            "one warning at the threshold, silence after"
-        assert dead.url in warnings[0].getMessage()
-        assert counters.get("runcache.http.failopen") == 1
-        assert dead.consecutive_failures == FAILOPEN_THRESHOLD + 4
-
-    def test_failures_below_threshold_stay_quiet(self, dead, caplog):
-        import logging
-
-        from repro.evaluation.cacheserver import FAILOPEN_THRESHOLD
-
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.evaluation.cacheserver"):
-            for _ in range(FAILOPEN_THRESHOLD - 1):
-                dead.load(KEY_A)
-        assert not [r for r in caplog.records
-                    if "failing open" in r.getMessage()]
-
-    def test_any_reply_rearms_the_detector(self, server):
-        """A successful round-trip resets the consecutive-failure count
-        and re-arms the one-shot warning, so a daemon that flaps warns
-        on each outage rather than only the first."""
-        backend = _http(server)
-        backend.consecutive_failures = 7
-        backend._failopen_reported = True
-        assert backend.load(KEY_A) is None  # a served miss, not an error
-        assert backend.consecutive_failures == 0
-        assert backend._failopen_reported is False
-
-    def test_scheduler_survives_dead_backend(self, dead):
-        """A sweep against a dead daemon degrades to local simulation."""
-        from repro.evaluation.runner import RunScheduler
-        scheduler = RunScheduler(jobs=1, cache=RunCache(backend=dead))
-        result = scheduler.run(liquid_request())
-        assert result.cycles > 0
-        assert scheduler.stats.executed == 1
-
 
 class TestProtocolHygiene:
-    def test_bad_keys_rejected(self, server):
-        backend = _http(server)
-        for bad in ("short", "../../etc/passwd", "Z" * 64, KEY_A[:-1] + "G"):
-            assert backend.load(bad) is None
-            assert backend.store(bad, b"x") is False
-        assert server.backend.entry_paths() is not None
-        assert sum(1 for _ in server.backend.entry_paths()) == 0
-
-    def test_probe_filters_bad_keys(self, server):
-        server.backend.store(KEY_A, b"x")
-        present = _http(server).contains_many(
-            [KEY_A, "../../sneaky", "not-a-key"])
-        assert present == {KEY_A}
-
-    def test_stats_identifies_service(self, server):
-        info = _http(server).describe()
-        assert info["reachable"] is True
-        assert info["format_version"] == CACHE_FORMAT_VERSION
-
-    def test_wrong_service_reads_unreachable(self):
-        """--cache-url pointed at some unrelated HTTP server must read
-        as unreachable, not corrupt probes with bogus answers."""
-        import threading
-        from http.server import BaseHTTPRequestHandler, HTTPServer
-
-        class Impostor(BaseHTTPRequestHandler):
-            def log_message(self, fmt, *args):
-                pass
-
-            def do_GET(self):
-                body = json.dumps({"service": "something-else"}).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        httpd = HTTPServer(("127.0.0.1", 0), Impostor)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = httpd.server_address[:2]
-            info = HTTPCacheBackend(f"http://{host}:{port}").describe()
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-        assert info["reachable"] is False
-        assert SERVICE_NAME not in (None, "something-else")
-
-    def test_stats_counts_entries_and_bytes(self, server):
-        backend = _http(server)
-        backend.store(KEY_A, b"four")
-        backend.store(KEY_B, b"bytes!")
-        info = backend.describe()
-        assert info["entries"] == 2
-        assert info["size_bytes"] == len(b"four") + len(b"bytes!")
-        assert json.loads(json.dumps(info)) == info
+    def test_stats_counts_entries_and_bytes(self, tmp_path):
+        store = ContentStore(tmp_path)
+        store.write_entry(KEY_A, b"four")
+        store.write_entry(KEY_B, b"bytes!")
+        assert store.entry_count() == 2
+        assert store.size_bytes() == len(b"four") + len(b"bytes!")

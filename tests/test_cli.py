@@ -128,91 +128,5 @@ class TestCacheSubcommand:
         code, out = _capture(
             repro_main, ["cache", "info", "--cache-dir", str(tmp_path)])
         assert code == 0
-        assert "backend: local directory" in out
+        assert f"run cache at {tmp_path}" in out
         assert "fragment store" in out
-
-    def test_info_reports_reachable_daemon(self, tmp_path):
-        from repro.evaluation.cacheserver import CacheServer
-        server = CacheServer(tmp_path / "served", port=0).start()
-        try:
-            code, out = _capture(
-                repro_main, ["cache", "info", "--cache-url", server.url])
-        finally:
-            server.shutdown()
-        assert code == 0
-        assert "backend: http" in out
-        assert "status    reachable" in out
-        # No local directory behind a URL, so no fragment-store section.
-        assert "fragment store" not in out
-
-    def test_info_unreachable_daemon_exits_nonzero(self):
-        code, out = _capture(
-            repro_main,
-            ["cache", "info", "--cache-url", "http://127.0.0.1:9"])
-        assert code == 1
-        assert "status    unreachable" in out
-
-
-class TestSweepSubcommand:
-    ARGS = ["sweep", "--benchmarks", "FIR", "--widths", "2",
-            "--jobs", "1"]
-
-    def test_sweep_smoke(self, tmp_path):
-        code, out = _capture(
-            repro_main, self.ARGS + ["--cache-dir", str(tmp_path)])
-        assert code == 0
-        assert "simulated 2, warm 0" in out
-        assert "speedups: 1 records" in out
-
-    def test_incremental_after_cold_sweep(self, tmp_path):
-        cache = ["--cache-dir", str(tmp_path)]
-        _capture(repro_main, self.ARGS + cache)
-        code, out = _capture(
-            repro_main, self.ARGS + cache + ["--incremental"])
-        assert code == 0
-        assert "incremental: simulated 0, warm 2" in out
-        assert "probe round-trips 1" in out
-
-    def test_shard_merge_roundtrip(self, tmp_path):
-        import json
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        paths = []
-        for i in (1, 2):
-            out_path = tmp_path / f"shard{i}.json"
-            code, _ = _capture(
-                repro_main, self.ARGS + cache
-                + ["--shard", f"{i}/2", "--out", str(out_path)])
-            assert code == 0
-            paths.append(str(out_path))
-        merged_path = tmp_path / "merged.json"
-        code, out = _capture(
-            repro_main, ["sweep", "--merge", *paths,
-                         "--out", str(merged_path)])
-        assert code == 0
-        assert "merged 2 shard manifest(s)" in out
-        merged = json.loads(merged_path.read_text())
-        assert merged["stats"]["machine_runs"] == 2
-
-    def test_merge_rejects_incomplete_fleet(self, tmp_path, capsys):
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        out_path = tmp_path / "shard1.json"
-        code, _ = _capture(
-            repro_main, self.ARGS + cache
-            + ["--shard", "1/2", "--out", str(out_path)])
-        assert code == 0
-        code = repro_main(["sweep", "--merge", str(out_path)])
-        assert code == 1
-        assert "cover" in capsys.readouterr().err
-
-    def test_bad_shard_spec_exits_nonzero(self, capsys):
-        code = repro_main(["sweep", "--shard", "nope"])
-        assert code == 1
-        assert "K/N" in capsys.readouterr().err
-
-    def test_json_output_is_a_manifest(self):
-        import json
-        code, out = _capture(repro_main, self.ARGS + ["--json"])
-        assert code == 0
-        manifest = json.loads(out)
-        assert manifest["kind"] == "repro-sweep"
-        assert manifest["coverage"]["selected"] == 2

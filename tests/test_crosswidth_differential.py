@@ -11,7 +11,7 @@ on all four execution engines — and every retranslated fragment must
 actually execute as microcode (preloads are ready at cycle 0, so the
 preloaded run never falls back to scalar for those functions).
 
-The suite also pins the fleet-economics contract of the persistent
+The suite also pins the reuse contract of the persistent
 fragment store: a warm store performs **zero** retranslations on a
 repeat sweep (``retranslate.attempts`` delta is 0 while
 ``fragstore.hit`` counts the loads), and neither the store nor the

@@ -11,7 +11,6 @@ drift versus running without the store at all (the differential suite's
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -33,8 +32,8 @@ from repro.system.machine import MachineConfig
 CFG = TranslatorConfig(width=4)
 
 
-def _store(tmp_path, **kwargs) -> FragmentStore:
-    return FragmentStore(tmp_path / "fragments", **kwargs)
+def _store(tmp_path) -> FragmentStore:
+    return FragmentStore(tmp_path / "fragments")
 
 
 def _payload(tag="x") -> dict:
@@ -136,54 +135,6 @@ def test_concurrent_writer_loses_race_gracefully(tmp_path):
     assert b.stats.races == 1 and b.stats.stores == 0
     assert a.load(key) == _payload()
     assert a.entry_count() == 1
-
-
-# ---------------------------------------------------------------------------
-# Eviction policies (the benchmarks/ ablation drives these at scale)
-# ---------------------------------------------------------------------------
-
-def _age(store: FragmentStore, key: str, mtime: float) -> None:
-    os.utime(store.path_for(key), (mtime, mtime))
-
-
-def test_fifo_eviction_drops_first_in(tmp_path):
-    store = _store(tmp_path, max_entries=2, eviction="fifo")
-    keys = [fragment_key(bytes([i]), 4, 8, CFG) for i in range(3)]
-    store.store(keys[0], _payload("a"))
-    _age(store, keys[0], 1000.0)
-    store.store(keys[1], _payload("b"))
-    _age(store, keys[1], 2000.0)
-    # FIFO ignores use: loading the oldest entry must not save it.
-    assert store.load(keys[0]) == _payload("a")
-    _age(store, keys[0], 1000.0)  # fifo never refreshes mtime on load
-    store.store(keys[2], _payload("c"))
-    assert store.load(keys[0]) is None
-    assert store.load(keys[1]) == _payload("b")
-    assert store.load(keys[2]) == _payload("c")
-    assert store.stats.evictions == 1
-
-
-def test_lru_eviction_keeps_recently_used(tmp_path):
-    store = _store(tmp_path, max_entries=2, eviction="lru")
-    keys = [fragment_key(bytes([i]), 4, 8, CFG) for i in range(3)]
-    store.store(keys[0], _payload("a"))
-    _age(store, keys[0], 1000.0)
-    store.store(keys[1], _payload("b"))
-    _age(store, keys[1], 2000.0)
-    # Touch the oldest: under LRU the load refreshes its recency.
-    assert store.load(keys[0]) == _payload("a")
-    store.store(keys[2], _payload("c"))
-    assert store.load(keys[1]) is None  # victim is now the untouched one
-    assert store.load(keys[0]) == _payload("a")
-    assert store.load(keys[2]) == _payload("c")
-    assert store.stats.evictions == 1
-
-
-def test_eviction_validation():
-    with pytest.raises(ValueError):
-        FragmentStore("/tmp/x", eviction="random")
-    with pytest.raises(ValueError):
-        FragmentStore("/tmp/x", max_entries=0)
 
 
 # ---------------------------------------------------------------------------

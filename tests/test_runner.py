@@ -286,17 +286,6 @@ class TestBatchedProbe:
         assert warm.stats.cache_hits == len(requests)
         assert warm.stats.executed == 1
 
-    def test_last_batch_records_provenance(self, tmp_path):
-        request = liquid_request()
-        scheduler = RunScheduler(jobs=1, cache=RunCache(tmp_path))
-        scheduler.run(request)
-        assert scheduler.last_batch == {request: "simulated"}
-        scheduler.run(request)
-        assert scheduler.last_batch == {request: "memo"}
-        fresh = RunScheduler(jobs=1, cache=RunCache(tmp_path))
-        fresh.run(request)
-        assert fresh.last_batch == {request: "cache"}
-
 
 class TestProgramMemoization:
     def test_one_build_per_program_id(self, monkeypatch):
